@@ -1,5 +1,6 @@
 #include "core/auditor.h"
 
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -17,6 +18,30 @@ namespace {
 /// the same way discloses the same set, whoever asked.
 std::string disclosure_key(const Disclosure& d) {
   return d.query_text + (d.answer ? "\x1f+" : "\x1f-");
+}
+
+/// Appends each of `sets` to `unique` on its first occurrence by set
+/// equality, and returns every input's index into `unique`.
+std::vector<std::size_t> dedupe_by_set(
+    std::span<const WorldSet* const> sets,
+    std::vector<const WorldSet*>& unique) {
+  struct Hash {
+    std::size_t operator()(const WorldSet* s) const { return s->hash(); }
+  };
+  struct Equal {
+    bool operator()(const WorldSet* x, const WorldSet* y) const {
+      return *x == *y;
+    }
+  };
+  std::unordered_map<const WorldSet*, std::size_t, Hash, Equal> slot_of;
+  std::vector<std::size_t> slots;
+  slots.reserve(sets.size());
+  for (const WorldSet* s : sets) {
+    auto [it, inserted] = slot_of.emplace(s, unique.size());
+    if (inserted) unique.push_back(s);
+    slots.push_back(it->second);
+  }
+  return slots;
 }
 
 AuditFinding to_finding(const EngineDecision& d) {
@@ -166,13 +191,13 @@ struct Auditor::BatchShared {
   std::unordered_map<std::string, WorldSet> sets;
   std::vector<std::string> entry_keys;           ///< disclosure_key per entry
   std::vector<const WorldSet*> disclosure_sets;  ///< per entry, into `sets`
-  std::vector<const WorldSet*> unique_bs;        ///< deduplicated, log order
+  std::vector<const WorldSet*> unique_bs;        ///< distinct sets, log order
   std::vector<std::size_t> entry_slot;           ///< entry -> unique_bs index
   std::vector<std::string> users;
   std::vector<WorldSet> conjunctions;            ///< per user, Section 3.3
   std::vector<std::size_t> answered_counts;
-  std::vector<const WorldSet*> unique_conjunctions;
-  std::vector<std::size_t> user_slot;
+  std::vector<const WorldSet*> unique_conjunctions;  ///< distinct sets
+  std::vector<std::size_t> user_slot;  ///< user -> unique_conjunctions index
 };
 
 Auditor::BatchShared Auditor::build_shared(const AuditLog& log) const {
@@ -197,18 +222,13 @@ Auditor::BatchShared Auditor::build_shared(const AuditLog& log) const {
     }
   }
 
-  // Deduplicate for the decision sweep: each *distinct* disclosed set is
-  // decided once per audited property, in log order.
-  shared.entry_slot.resize(entries.size());
-  {
-    std::unordered_map<std::string_view, std::size_t> slot_of;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      auto [it, inserted] =
-          slot_of.emplace(shared.entry_keys[i], shared.unique_bs.size());
-      if (inserted) shared.unique_bs.push_back(shared.disclosure_sets[i]);
-      shared.entry_slot[i] = it->second;
-    }
-  }
+  // Deduplicate for the decision sweep by compiled set, not by query text:
+  // different wordings often disclose one set (`x` answered no, `!x`
+  // answered yes), and the verdict depends only on the set. The pair memo
+  // is keyed by set too, so two equal pairs in one fan-out would both miss
+  // it and both run the cascade, making the counters depend on scheduling.
+  // Each distinct set is decided once per audited property, in log order.
+  shared.entry_slot = dedupe_by_set(shared.disclosure_sets, shared.unique_bs);
 
   // Section 3.3 — a user who received answers B1, ..., Bk knows
   // B1 ∩ ... ∩ Bk. Conjunctions are cheap bitset ANDs over the compiled
@@ -229,20 +249,10 @@ Auditor::BatchShared Auditor::build_shared(const AuditLog& log) const {
     shared.answered_counts.push_back(answered);
   }
 
-  shared.user_slot.resize(shared.users.size());
-  for (std::size_t u = 0; u < shared.users.size(); ++u) {
-    std::size_t slot = shared.unique_conjunctions.size();
-    for (std::size_t v = 0; v < shared.unique_conjunctions.size(); ++v) {
-      if (*shared.unique_conjunctions[v] == shared.conjunctions[u]) {
-        slot = v;
-        break;
-      }
-    }
-    if (slot == shared.unique_conjunctions.size()) {
-      shared.unique_conjunctions.push_back(&shared.conjunctions[u]);
-    }
-    shared.user_slot[u] = slot;
-  }
+  std::vector<const WorldSet*> conjunction_ptrs;
+  conjunction_ptrs.reserve(shared.conjunctions.size());
+  for (const WorldSet& c : shared.conjunctions) conjunction_ptrs.push_back(&c);
+  shared.user_slot = dedupe_by_set(conjunction_ptrs, shared.unique_conjunctions);
   return shared;
 }
 
@@ -310,8 +320,8 @@ AuditReport Auditor::audit_one(const AuditLog& log,
     report.per_disclosure.push_back(std::move(f));
   }
 
-  // Distinct conjunctions are decided in parallel; identical ones (and ones
-  // matching a disclosure pair) come from the per-report memo.
+  // Distinct conjunctions are decided in parallel; one equal to a disclosed
+  // set comes from the per-report memo (the only reuse the memo serves).
   std::vector<EngineDecision> conjunction_decisions;
   {
     obs::ScopedSpan decide_span("audit.decide-conjunctions");

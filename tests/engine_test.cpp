@@ -314,6 +314,69 @@ TEST(Auditor, CompilesEachDistinctDisclosureOncePerAudit) {
   EXPECT_EQ(report.memo_hits(), 1u);
 }
 
+// A disclosure is the set of worlds its answer leaves possible (Def. 3.1):
+// `x` answered false and `!x` answered true disclose the same set, so the
+// sweep must decide that set once, whatever the wording. Were both wordings
+// decided, a thread fan-out could miss the memo twice and run the cascade
+// twice, and the counters would depend on scheduling.
+TEST(Auditor, DecidesEachDisclosedSetOnceWhateverTheWording) {
+  RecordUniverse u;
+  u.add("x");
+  u.add("y");
+  AuditLog log;
+  log.record_with_answer("u1", "x", false);
+  log.record_with_answer("u2", "!x", true);
+  log.record_with_answer("u2", "y", true);
+
+  struct Counts {
+    std::vector<StageStats> stages;
+    std::int64_t lookups = 0;
+    std::int64_t hits = 0;
+  };
+  auto audit_counts = [&](unsigned threads) {
+    AuditorOptions options;
+    options.threads = threads;
+    Auditor auditor(u, PriorAssumption::kUnrestricted, options);
+    const AuditReport report = auditor.audit(log, "x");
+    EXPECT_EQ(report.per_disclosure.size(), 3u);
+    if (report.per_disclosure.size() == 3u) {
+      const AuditFinding& f0 = report.per_disclosure[0];
+      const AuditFinding& f1 = report.per_disclosure[1];
+      EXPECT_EQ(f0.verdict, f1.verdict);
+      EXPECT_EQ(f0.method, f1.method);
+      EXPECT_EQ(f0.certified, f1.certified);
+      EXPECT_EQ(f0.numeric_gap, f1.numeric_gap);
+      EXPECT_EQ(f0.detail, f1.detail);
+    }
+    return Counts{report.stage_stats(),
+                  report.metrics.counter("engine.memo.lookups"),
+                  report.metrics.counter("engine.memo.hits")};
+  };
+
+  const Counts serial = audit_counts(1);
+  std::size_t cascades = 0;
+  for (const StageStats& s : serial.stages) cascades += s.decisions;
+  // Sets decided: !x and y (disclosures), then u2's !x & y (conjunction).
+  // u1's conjunction equals !x and is the one memo hit.
+  EXPECT_EQ(cascades, 3u);
+  // Memo lookups: two distinct disclosed sets plus two conjunctions. The
+  // second wording of !x never reaches the memo.
+  EXPECT_EQ(serial.lookups, 4);
+  EXPECT_EQ(serial.hits, 1);
+
+  const Counts threaded = audit_counts(4);
+  EXPECT_EQ(threaded.lookups, serial.lookups);
+  EXPECT_EQ(threaded.hits, serial.hits);
+  ASSERT_EQ(threaded.stages.size(), serial.stages.size());
+  for (std::size_t i = 0; i < serial.stages.size(); ++i) {
+    EXPECT_EQ(threaded.stages[i].name, serial.stages[i].name);
+    EXPECT_EQ(threaded.stages[i].invocations, serial.stages[i].invocations)
+        << serial.stages[i].name;
+    EXPECT_EQ(threaded.stages[i].decisions, serial.stages[i].decisions)
+        << serial.stages[i].name;
+  }
+}
+
 TEST(Auditor, StageStatsExposedInReport) {
   RecordUniverse u;
   u.add("x");
